@@ -4,7 +4,7 @@
 Covers the single matrix blocks M_1..M_3, small cyclic and symmetric
 group algebras, a weighted two-block sum, and optionally tensor products
 of the above. Every value is exact; the stabilized column reports whether
-a deeper truncation reproduced it.
+beta_0 matches the dimension of the algebra as a bimodule over itself.
 """
 
 import argparse

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .linalg import NO_SOLUTION, ScalarMatrix, rank, solve_linear
+from .linalg import NO_SOLUTION, ScalarMatrix, rank, solve_linear, solve_sparse
 from .scalars import ONE, ZERO, ParseError, Scalar, format_rational, parse_rational
 
 # sparse coordinate vector over the algebra basis
@@ -251,13 +251,13 @@ class TracialAlgebra:
         if key in self._inverse_cache:
             return self._inverse_cache[key]
         d = self.dim
-        # columns of L_a: coordinates of a * b_j
-        lmat = ScalarMatrix.zeros(d, d)
+        # sparse rows of L_a: column j holds the coordinates of a * b_j
+        rows: list[dict[int, Scalar]] = [{} for _ in range(d)]
         for j in range(d):
             for k, v in self.mul_coords(a, {j: ONE}).items():
-                lmat.entries[k * d + j] = v
+                rows[k][j] = v
         rhs = [self.unit.get(i, ZERO) for i in range(d)]
-        sol = solve_linear(lmat, rhs)
+        sol = solve_sparse(rows, rhs, d)
         if sol is NO_SOLUTION:
             result: Optional[Coords] = None
         else:

@@ -18,9 +18,10 @@ convolve their arms.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .algebra import algebra_from_dict, group_algebra
 from .homology import DEFAULT_CEILING, betti_numbers
@@ -312,7 +313,12 @@ def descriptor_to_dict(descriptor: QuantumGroupDescriptor) -> dict:
     raise CatalogError(f"unknown descriptor {descriptor!r}")
 
 
-def descriptor_from_dict(doc: dict) -> QuantumGroupDescriptor:
+def descriptor_from_dict(
+    doc: dict, base_dir: Optional[str] = None
+) -> QuantumGroupDescriptor:
+    """Parse a descriptor document.  A relative algebra-file path is taken
+    relative to base_dir when one is given (the directory of the document
+    it came from), and relative to the working directory otherwise."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CatalogError("descriptor document needs a 'kind' field")
     kind = doc["kind"]
@@ -324,10 +330,15 @@ def descriptor_from_dict(doc: dict) -> QuantumGroupDescriptor:
         if kind == "free_group_dual":
             return FreeGroupDual(int(doc["k"]))
         if kind == "finite_dim_algebra":
-            return FiniteDimAlgebra(str(doc["path"]))
+            path = str(doc["path"])
+            if base_dir is not None:
+                # join keeps an absolute path as it is
+                path = os.path.join(base_dir, path)
+            return FiniteDimAlgebra(path)
         if kind == "product":
             return Product(
-                descriptor_from_dict(doc["left"]), descriptor_from_dict(doc["right"])
+                descriptor_from_dict(doc["left"], base_dir),
+                descriptor_from_dict(doc["right"], base_dir),
             )
         if kind == "coamenable_infinite":
             return CoamenableInfinite()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -283,7 +284,9 @@ def cmd_betti(path: str, config: RunConfig) -> tuple[dict, int]:
 
 def cmd_catalog(path: str, config: RunConfig) -> tuple[dict, int]:
     document = _load_json(path)
-    descriptor = descriptor_from_dict(document)
+    descriptor = descriptor_from_dict(
+        document, base_dir=os.path.dirname(os.path.abspath(path))
+    )
     sequence = betti_of(descriptor, config.max_degree, ceiling=config.ceiling)
     report = {
         "command": "catalog",

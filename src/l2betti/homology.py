@@ -237,7 +237,12 @@ def bar_complex(
 
 @dataclass
 class BettiResult:
-    """Betti numbers up to a degree, with the truncation bookkeeping."""
+    """Betti numbers up to a degree, with the truncation bookkeeping.
+
+    depth is the top degree of the bar complex the values were read from.
+    stabilized is the cross-check beta_0 == dim A as a module over A^ev,
+    the latter computed by algebra_self_bimodule without a bar complex.
+    """
 
     algebra_description: dict
     values: dict[int, Fraction]
@@ -250,20 +255,20 @@ def betti_numbers(
 ) -> BettiResult:
     """Betti numbers beta_0..beta_max_degree from the truncated bar complex.
 
-    The complex is then rebuilt one degree deeper and every value is
-    recomputed from it; stabilized records that nothing moved.
+    beta_n reads only d_n and d_{n+1}, which a bar complex of depth
+    max_degree + 1 already holds in final form, so one complex is built.
+    stabilized compares beta_0 with the dimension of the self-bimodule,
+    an independent route that never builds a bar complex.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     bar = bar_complex(algebra, max_degree + 1, ceiling)
     values = {n: dim_homology(bar, n) for n in range(max_degree + 1)}
-    deeper = bar_complex(algebra, max_degree + 2, ceiling)
-    recomputed = {n: dim_homology(deeper, n) for n in range(max_degree + 1)}
     return BettiResult(
         algebra_description=algebra.description,
         values=values,
         depth=max_degree + 1,
-        stabilized=recomputed == values,
+        stabilized=values[0] == dim_module(algebra_self_bimodule(algebra)),
     )
 
 
@@ -583,10 +588,9 @@ class _HomologyData:
             if vec:
                 rel_cols.append(vec)
         self.kernel_relations = ModuleMap.from_vector_columns(algebra, gens, rel_cols)
-        boundary = cx.differential(n + 1)
         lift_cols = [
-            self.express(vector_realized(algebra, boundary.column_vector(q)))
-            for q in range(boundary.domain_rank)
+            self.express(vector_realized(algebra, col))
+            for col in cx.differential(n + 1).columns()
         ]
         self.boundary_lifts = ModuleMap.from_vector_columns(algebra, gens, lift_cols)
         self.presentation = PresentedModule(
@@ -617,8 +621,7 @@ def _kernel_coefficient_map(
     algebra = phi_n.algebra
     d = algebra.dim
     cols: list[Vector] = []
-    for j in range(data_src.kappa.domain_rank):
-        kap = data_src.kappa.column_vector(j)
+    for kap in data_src.kappa.columns():
         image = phi_n.apply([kap.get(p, {}) for p in range(phi_n.domain_rank)])
         flat: dict[int, Scalar] = {}
         for p, coords in enumerate(image):
@@ -723,13 +726,7 @@ def induced_homology_map(phi: ChainMap, n: int) -> dict:
     dim_plain = plain.image_dim()
 
     cycles_tgt = PresentedModule(data_tgt.kernel_relations)
-    boundary_sub = Submodule(
-        cycles_tgt,
-        [
-            data_tgt.boundary_lifts.column_vector(q)
-            for q in range(data_tgt.boundary_lifts.domain_rank)
-        ],
-    )
+    boundary_sub = Submodule(cycles_tgt, data_tgt.boundary_lifts.columns())
     closed = algebraic_closure(boundary_sub)
     reduced_target = PresentedModule(
         ModuleMap.hstack([data_tgt.kernel_relations, closed.generator_map()])

@@ -4,8 +4,8 @@ The exact engine is a fraction-free (Bareiss) elimination over the Gaussian
 integers with full pivoting: rows are scaled to integer entries, every update
 is (piv*a_rj - a_rc*a_pj) / prev_piv with exact division, and pivots are
 chosen anywhere in the active submatrix, smallest squared modulus first, to
-bound coefficient growth.  rank, solve_linear and kernel_basis all sit on top
-of the same elimination.
+bound coefficient growth.  rank, solve_sparse (with its dense wrapper
+solve_linear) and kernel_basis all sit on top of the same elimination.
 
 The float backend mirrors rank via singular values and exists for stress
 testing only; exact results never depend on it.
@@ -365,19 +365,24 @@ def _back_substitute(ech: Echelon, assigned: dict[int, Scalar]) -> dict[int, Sca
 def solve_linear(a: ScalarMatrix, b: Sequence[Scalar]):
     """Solve a x = b exactly.  Returns a list of Scalars (one particular
     solution, free variables set to zero) or NO_SOLUTION."""
-    if len(b) != a.rows:
+    return solve_sparse(a.sparse_rows(), b, a.cols)
+
+
+def solve_sparse(rows: Sequence[dict[int, Scalar]], b: Sequence[Scalar], ncols: int):
+    """solve_linear for a matrix given by its sparse rows (column index ->
+    nonzero Scalar, every index below ncols)."""
+    if len(b) != len(rows):
         raise ValueError("rhs length mismatch")
-    ncols = a.cols
     rhs_col = ncols  # augmented column index
-    rows: list[dict[int, GaussInt]] = []
-    for i, row in enumerate(a.sparse_rows()):
+    int_rows: list[dict[int, GaussInt]] = []
+    for row, bi in zip(rows, b):
         aug = dict(row)
-        if not b[i].is_zero():
-            aug[rhs_col] = b[i]
-        rows.append(_scale_row_to_ints(aug))
-    ech = _eliminate(rows, ncols + 1, allowed_cols=set(range(ncols)))
+        if not bi.is_zero():
+            aug[rhs_col] = bi
+        int_rows.append(_scale_row_to_ints(aug))
+    ech = _eliminate(int_rows, ncols + 1, allowed_cols=set(range(ncols)))
     for i in ech.free_rows:
-        if rows[i]:
+        if int_rows[i]:
             # nonzero leftovers can only live in the rhs column
             return NO_SOLUTION
     # move the rhs to the other side: solve [A | -b] style via assignment

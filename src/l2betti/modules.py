@@ -160,6 +160,14 @@ class ModuleMap:
                 vec[p] = coords
         return vec
 
+    def columns(self) -> list[Vector]:
+        """Every column_vector, indexed by q, from one pass over the entries;
+        each column keeps the entry order column_vector gives it."""
+        cols: list[Vector] = [{} for _ in range(self.domain_rank)]
+        for (p, q), coords in self.entries.items():
+            cols[q][p] = coords
+        return cols
+
     def apply(self, x: Sequence[Coords]) -> list[Coords]:
         """Image of the vector with component coordinates x."""
         if len(x) != self.domain_rank:
@@ -665,9 +673,10 @@ def dim_image(
         if hit is not None:
             return hit
     gens = []
+    columns = tmap.columns()
     indices = range(tmap.domain_rank) if order is None else order
     for q in indices:
-        vec = tmap.column_vector(q)
+        vec = columns[q]
         if vec:
             gens.append({p: dict(c) for p, c in vec.items()})
     pivots, residual = _frontend_eliminate(algebra, gens)

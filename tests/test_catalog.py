@@ -249,6 +249,18 @@ class TestDescriptorSerialization:
             assert json.loads(json.dumps(doc)) == doc
             assert descriptor_from_dict(doc) == d
 
+    def test_base_dir_resolves_relative_algebra_paths(self, tmp_path):
+        base = str(tmp_path)
+        nested = {
+            "kind": "product",
+            "left": {"kind": "finite_dim_algebra", "path": "algebras/m2.json"},
+            "right": {"kind": "finite_dim_algebra", "path": "/abs/z3.json"},
+        }
+        assert descriptor_from_dict(nested, base_dir=base) == Product(
+            FiniteDimAlgebra(str(tmp_path / "algebras" / "m2.json")),
+            FiniteDimAlgebra("/abs/z3.json"),
+        )
+
     def test_product_document_shape(self):
         doc = descriptor_to_dict(Product(FiniteQG(8), FreeGroupDual(2)))
         assert doc == {

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from l2betti import cli
+from l2betti import cli, homology
 from l2betti.cli import (
     EXIT_CEILING,
     EXIT_CHECK,
@@ -96,6 +96,16 @@ class TestBettiCommand:
         assert report["stabilized"] is True
         assert report["algebra"]["kind"] == "multi_matrix"
 
+    def test_stabilized_false_reaches_report(self, tmp_path, capsys, monkeypatch):
+        real = homology.dim_module
+        monkeypatch.setattr(homology, "dim_module", lambda x: real(x) + 1)
+        path = write_json(tmp_path, "m2.json", M2)
+        code = main(["betti", path, "--max-degree", "1"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert '"stabilized": false' in out
+        assert json.loads(out)["values"] == {"0": "1/4", "1": "0"}
+
     def test_one_dimensional_algebra(self, tmp_path, capsys):
         path = write_json(tmp_path, "one.json", ONE_DIM)
         code, report, _ = run_cli(capsys, ["betti", path, "--max-degree", "0"])
@@ -172,6 +182,33 @@ class TestCatalogCommand:
         code, report, _ = run_cli(capsys, ["catalog", path, "--max-degree", "1"])
         assert code == EXIT_OK
         assert report["betti"] == {"0": "1/4"}
+
+    def test_relative_algebra_path_follows_descriptor(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_json(data, "m2.json", M2)
+        descriptor = {
+            "kind": "product",
+            "left": {"kind": "finite_dim_algebra", "path": "m2.json"},
+            "right": {"kind": "finite_qg", "dim": 2},
+        }
+        path = write_json(data, "alg.json", descriptor)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code, report, _ = run_cli(capsys, ["catalog", path, "--max-degree", "1"])
+        assert code == EXIT_OK
+        assert report["betti"] == {"0": "1/8"}
+        assert report["descriptor"] == descriptor
+        # the descriptor path itself may be relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        code, report, _ = run_cli(
+            capsys, ["catalog", "data/alg.json", "--max-degree", "1"]
+        )
+        assert code == EXIT_OK
+        assert report["betti"] == {"0": "1/8"}
 
 
 class TestExitCodes:

@@ -24,6 +24,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l2betti import homology
 from l2betti.algebra import (
     enveloping_algebra,
     group_algebra,
@@ -216,12 +217,38 @@ class TestBettiNumbers:
             betti_numbers(m2, -1)
 
     def test_ceiling_propagates(self, m2):
-        # depth 3 fits a 1024-entry ceiling exactly; the stabilization
-        # rebuild at depth 4 does not, and the failure must surface
+        # degree 2 reads the depth-3 complex only, which needs exactly
+        # 4^5 = 1024 entries; one entry less, or one degree more, must fail
+        r = betti_numbers(m2, 2, ceiling=1024)
+        assert r.values == {0: Fraction(1, 4), 1: Fraction(0), 2: Fraction(0)}
+        with pytest.raises(DepthTooLarge) as exc:
+            betti_numbers(m2, 2, ceiling=1023)
+        assert exc.value.needed == 4**5
         with pytest.raises(DepthTooLarge):
-            betti_numbers(m2, 2, ceiling=1024)
+            betti_numbers(m2, 3, ceiling=1024)
         with pytest.raises(DepthTooLarge):
             betti_numbers(m2, 2, ceiling=100)
+
+    def test_builds_one_bar_complex(self, m2, monkeypatch):
+        depths = []
+        real = homology.bar_complex
+
+        def counting(algebra, depth, *args, **kwargs):
+            depths.append(depth)
+            return real(algebra, depth, *args, **kwargs)
+
+        monkeypatch.setattr(homology, "bar_complex", counting)
+        betti_numbers(m2, 2)
+        assert depths == [3]
+
+    def test_stabilized_can_fail(self, m2, monkeypatch):
+        # stabilized compares beta_0 with the bar-free self-bimodule
+        # dimension; a wrong dimension on that route must show
+        real = homology.dim_module
+        monkeypatch.setattr(homology, "dim_module", lambda x: real(x) + 1)
+        r = betti_numbers(m2, 1)
+        assert r.values[0] == Fraction(1, 4)
+        assert r.stabilized is False
 
     def test_result_is_dataclass_with_rationals(self, z2):
         r = betti_numbers(z2, 1)
@@ -287,6 +314,22 @@ class TestTensorComplex:
         e = tensor_complex(f, g)
         for n in range(2, e.top_degree + 1):
             assert e.differential(n - 1).compose(e.differential(n)).is_zero()
+
+
+class TestTruncationIndependence:
+    """beta_n reads only d_n and d_{n+1}, so a bar complex one degree
+    deeper must reproduce every differential and homology below its top."""
+
+    @pytest.mark.parametrize("name", ["m2", "z3", "lopsided"])
+    def test_one_degree_deeper(self, name, request):
+        algebra = request.getfixturevalue(name)
+        k = 2
+        short = bar_complex(algebra, k)
+        deep = bar_complex(algebra, k + 1)
+        for n in range(1, k + 1):
+            assert short.differential(n) == deep.differential(n)
+        for n in range(k):
+            assert dim_homology(short, n) == dim_homology(deep, n)
 
 
 class TestKuennethChain:
